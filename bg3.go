@@ -306,9 +306,11 @@ func (db *DB) RunGC(batch int) (int64, error) { return db.eng().RunGC(batch) }
 
 // BuildEdgeBlocks eagerly packs every dedicated tree that is past the
 // edge-block threshold (Options.EdgeBlockThreshold) into its CSR-style
-// packed block, returning the number of blocks built. Blocks are normally
-// built opportunistically at flush/consolidation time; this forces the
-// work now — useful after a bulk load, before a read-heavy phase.
+// packed block, returning the number of trees that hold a block on
+// return. Blocks are normally built opportunistically at
+// flush/consolidation time; this forces the work now — useful after a
+// bulk load, before a read-heavy phase. A background build already in
+// flight is waited for rather than skipped.
 func (db *DB) BuildEdgeBlocks() (int, error) {
 	return db.eng().Forest().BuildEdgeBlocks()
 }
@@ -403,12 +405,15 @@ type CacheStats struct {
 	MemoryBytes     int64          `json:"memory_bytes"`
 }
 
-// ForestStats is the Bw-tree forest's shape (Fig. 11).
+// ForestStats is the Bw-tree forest's shape (Fig. 11), plus AbsentReads:
+// reads of owners with no keys, answered from the owner directory without
+// touching a tree.
 type ForestStats struct {
-	Trees      int `json:"trees"`
-	Owners     int `json:"owners"`
-	InitKeys   int `json:"init_keys"`
-	Migrations int `json:"migrations"`
+	Trees       int   `json:"trees"`
+	Owners      int   `json:"owners"`
+	InitKeys    int   `json:"init_keys"`
+	Migrations  int   `json:"migrations"`
+	AbsentReads int64 `json:"absent_reads"`
 }
 
 // EdgeBlockStats is the packed CSR edge-block accounting (§3.2.1
@@ -546,10 +551,11 @@ func (db *DB) Stats() Stats {
 			MemoryBytes:     fs.MemoryBytes,
 		},
 		Forest: ForestStats{
-			Trees:      fs.Trees,
-			Owners:     fs.Owners,
-			InitKeys:   fs.InitKeys,
-			Migrations: fs.Migrations,
+			Trees:       fs.Trees,
+			Owners:      fs.Owners,
+			InitKeys:    fs.InitKeys,
+			Migrations:  fs.Migrations,
+			AbsentReads: fs.AbsentReads,
 		},
 		EdgeBlocks: func() EdgeBlockStats {
 			bs := m.BlockStatsSnapshot()

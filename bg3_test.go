@@ -463,3 +463,45 @@ func TestReplicationLagConverges(t *testing.T) {
 		t.Fatal("replica applied LSN is zero after applying 30 writes")
 	}
 }
+
+// TestNeighborsOfAbsentVertexIsFree: reads of a vertex that was never
+// written are answered from the forest's owner directory — no storage
+// read, no page-cache lookup — on the live path and on a snapshot.
+func TestNeighborsOfAbsentVertexIsFree(t *testing.T) {
+	db := openDB(t, &Options{CacheCapacity: 2, MaxPageEntries: 8})
+	for i := 0; i < 64; i++ {
+		if err := db.AddEdge(Edge{Src: VertexID(i % 8), Dst: VertexID(100 + i), Type: ETypeFollow}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := db.Snapshot()
+	defer snap.Close()
+	before := db.Stats()
+
+	const absent = VertexID(1 << 40)
+	for _, r := range []interface {
+		Neighbors(VertexID, EdgeType, int, func(VertexID, Properties) bool) error
+	}{db, snap} {
+		n := 0
+		if err := r.Neighbors(absent, ETypeFollow, 0, func(VertexID, Properties) bool { n++; return true }); err != nil || n != 0 {
+			t.Fatalf("Neighbors(absent) = %d, %v", n, err)
+		}
+	}
+	if _, ok, err := db.GetEdge(absent, ETypeFollow, 100); err != nil || ok {
+		t.Fatalf("GetEdge(absent) = %v, %v", ok, err)
+	}
+
+	after := db.Stats()
+	if d := after.Storage.ReadOps - before.Storage.ReadOps; d != 0 {
+		t.Errorf("storage reads = %d, want 0", d)
+	}
+	if d := after.Cache.Hits + after.Cache.Misses - before.Cache.Hits - before.Cache.Misses; d != 0 {
+		t.Errorf("cache lookups = %d, want 0", d)
+	}
+	if d := after.Forest.AbsentReads - before.Forest.AbsentReads; d != 3 {
+		t.Errorf("forest absent reads = %d, want 3", d)
+	}
+	if n, err := db.Degree(3, ETypeFollow); err != nil || n != 8 {
+		t.Fatalf("Degree(3) = %d, %v; a written vertex must still read its edges", n, err)
+	}
+}

@@ -443,7 +443,7 @@ func (t *Tree) maybeBuildEdgeBlock() {
 	if !t.edgeBlockWanted() {
 		return
 	}
-	_, _ = t.TryBuildEdgeBlock()
+	_, _ = t.tryBuildEdgeBlock()
 }
 
 // maybeSpawnEdgeBlockBuild is the write-path trigger (the only one a
@@ -458,7 +458,7 @@ func (t *Tree) maybeSpawnEdgeBlockBuild() {
 	}
 	go func() {
 		defer t.blocks.buildSpawned.Store(false)
-		_, _ = t.TryBuildEdgeBlock()
+		_, _ = t.tryBuildEdgeBlock()
 	}()
 }
 
@@ -497,18 +497,34 @@ func (t *Tree) edgeBlockWanted() bool {
 	return t.blocks.overlayLen.Load() >= int64(t.blockRebuildThreshold(len(blk.entries)))
 }
 
-// TryBuildEdgeBlock builds (or rebuilds) the tree's packed edge block if
-// no other build is in flight. It returns whether a block was installed.
-// Safe to call on any tree; trees with blocks disabled return false.
-func (t *Tree) TryBuildEdgeBlock() (bool, error) {
-	if t.cfg.EdgeBlockMinEntries <= 0 {
-		return false, nil
-	}
+// tryBuildEdgeBlock is the background triggers' build: it builds (or
+// rebuilds) the tree's packed edge block unless another build is in
+// flight, and returns whether a block was installed. Callers check
+// edgeBlockWanted first, which is false for trees with blocks disabled.
+func (t *Tree) tryBuildEdgeBlock() (bool, error) {
 	if !t.blocks.blockBuildMu.TryLock() {
 		return false, nil
 	}
 	defer t.blocks.blockBuildMu.Unlock()
 	return t.buildEdgeBlockLocked()
+}
+
+// BuildEdgeBlock is the operator path's build. Where tryBuildEdgeBlock
+// gives up when a background trigger holds the build lock, it waits for
+// that build to finish and then builds (or rebuilds), so the block covers
+// every write acknowledged before the call. It reports whether a block is
+// installed on return, so a build skipped for pins still counts when an
+// earlier block serves the tree.
+func (t *Tree) BuildEdgeBlock() (bool, error) {
+	if t.cfg.EdgeBlockMinEntries <= 0 {
+		return false, nil
+	}
+	t.blocks.blockBuildMu.Lock()
+	defer t.blocks.blockBuildMu.Unlock()
+	if _, err := t.buildEdgeBlockLocked(); err != nil {
+		return false, err
+	}
+	return t.blocks.block.Load() != nil, nil
 }
 
 func (t *Tree) buildEdgeBlockLocked() (bool, error) {

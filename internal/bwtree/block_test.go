@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"bg3/internal/gc"
@@ -152,7 +153,7 @@ func TestEdgeBlockSyncTreeScanEquality(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		put(fmt.Sprintf("k%06d", i), fmt.Sprintf("v%d", i))
 	}
-	if built, err := blocked.TryBuildEdgeBlock(); err != nil || !built {
+	if built, err := blocked.BuildEdgeBlock(); err != nil || !built {
 		t.Fatalf("build = %v, %v", built, err)
 	}
 	info, ok := blocked.EdgeBlock()
@@ -198,7 +199,7 @@ func TestEdgeBlockSyncTreeScanEquality(t *testing.T) {
 	check("overlaid")
 
 	// Rebuild folds the overlay into a fresh block.
-	if built, err := blocked.TryBuildEdgeBlock(); err != nil || !built {
+	if built, err := blocked.BuildEdgeBlock(); err != nil || !built {
 		t.Fatalf("rebuild = %v, %v", built, err)
 	}
 	if info, ok = blocked.EdgeBlock(); !ok || info.Entries != 200 {
@@ -207,35 +208,53 @@ func TestEdgeBlockSyncTreeScanEquality(t *testing.T) {
 	check("rebuilt")
 }
 
+// withoutBackgroundBuilds runs writes while holding the tree's build lock,
+// so the write-path triggers they fire give up instead of building, and
+// returns once every triggered goroutine has exited. Tests whose outcome
+// depends on which ops a build seals around a pin write through it, so
+// only their explicit builds run.
+func withoutBackgroundBuilds(tr *Tree, writes func()) {
+	tr.blocks.blockBuildMu.Lock()
+	defer tr.blocks.blockBuildMu.Unlock()
+	writes()
+	for tr.blocks.buildSpawned.Load() {
+		runtime.Gosched()
+	}
+}
+
 // TestEdgeBlockMVCCSnapshot pins an epoch before the block is built and
 // checks the pinned view reads the pre-block history exactly, while the
 // head sees the latest state through the overlay.
 func TestEdgeBlockMVCCSnapshot(t *testing.T) {
 	tr, src, _ := newEpochTree(t, Config{EdgeBlockMinEntries: 4, EdgeBlockRebuildOps: 64})
-	for i := 0; i < 20; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("old")); err != nil {
-			t.Fatal(err)
+	withoutBackgroundBuilds(tr, func() {
+		for i := 0; i < 20; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("old")); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+	})
 	p := src.Pin()
 	defer p.Close()
 	h := wal.LSN(p.Epoch())
 	want := collectAt(t, tr, h)
 
 	// Mutations past the pin: they must stay above the block's seal.
-	if err := tr.Put([]byte("k05"), []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Delete([]byte("k10")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Put([]byte("k99"), []byte("added")); err != nil {
-		t.Fatal(err)
-	}
+	withoutBackgroundBuilds(tr, func() {
+		if err := tr.Put([]byte("k05"), []byte("new")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Delete([]byte("k10")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Put([]byte("k99"), []byte("added")); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	// The pin holds the floor at h, so the build seals there and the three
 	// mutations land in the overlay.
-	if built, err := tr.TryBuildEdgeBlock(); err != nil || !built {
+	if built, err := tr.BuildEdgeBlock(); err != nil || !built {
 		t.Fatalf("build = %v, %v", built, err)
 	}
 	info, ok := tr.EdgeBlock()
@@ -273,19 +292,23 @@ func TestEdgeBlockMVCCSnapshot(t *testing.T) {
 // rebuild threshold) and record the skip.
 func TestEdgeBlockSkipOnOldPins(t *testing.T) {
 	tr, src, _ := newEpochTree(t, Config{EdgeBlockMinEntries: 4, EdgeBlockRebuildOps: 8})
-	for i := 0; i < 10; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
+	withoutBackgroundBuilds(tr, func() {
+		for i := 0; i < 10; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+	})
 	p := src.Pin()
 	defer p.Close()
-	for i := 0; i < 20; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("x%02d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
+	withoutBackgroundBuilds(tr, func() {
+		for i := 0; i < 20; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("x%02d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if built, err := tr.TryBuildEdgeBlock(); err != nil || built {
+	})
+	if built, err := tr.BuildEdgeBlock(); err != nil || built {
 		t.Fatalf("build = %v, %v; want a pin skip", built, err)
 	}
 	if _, ok := tr.EdgeBlock(); ok {
@@ -303,7 +326,7 @@ func TestEdgeBlockSkipOnOldPins(t *testing.T) {
 	if err := tr.Put([]byte("zz"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if built, err := tr.TryBuildEdgeBlock(); err != nil || !built {
+	if built, err := tr.BuildEdgeBlock(); err != nil || !built {
 		t.Fatalf("post-release build = %v, %v", built, err)
 	}
 }
@@ -317,7 +340,7 @@ func TestEdgeBlockGCPinning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if built, err := tr.TryBuildEdgeBlock(); err != nil || !built {
+	if built, err := tr.BuildEdgeBlock(); err != nil || !built {
 		t.Fatalf("build = %v, %v", built, err)
 	}
 	pinned := tr.m.BlockExtents(storage.StreamBase)

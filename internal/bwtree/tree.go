@@ -761,7 +761,15 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 	started := false
 	e := t.latchLeaf(cursor)
 	delivered := 0
+	var readahead PageID // right sibling whose read-ahead this scan launched
 	for {
+		// Early read-ahead: a cold leaf whose high fence the bound passes
+		// starts its right sibling's load now, so the two storage round
+		// trips overlap instead of running back to back.
+		if e.cached == nil && e.scanPassesHi(to) && readahead != e.next {
+			readahead = e.next
+			t.launchPrefetch(readahead)
+		}
 		entries, reads, err := t.viewShared(e, h)
 		if err != nil {
 			e.mu.Unlock()
@@ -793,14 +801,21 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 			end = start
 		}
 		snapshot := append([]kv(nil), entries[start:end]...)
-		ended := end < len(entries) // the bound or the limit falls inside this leaf
+		// The scan ends here when the bound or the limit falls inside this
+		// leaf, or when the bound is at or below the high fence (the fence
+		// stop: no key of the right sibling can be in range, even when
+		// this leaf holds no key at or beyond the bound).
+		ended := end < len(entries) || !e.scanPassesHi(to)
 		next := e.next
 		e.mu.Unlock()
 
 		// Read-ahead: warm the right sibling while this leaf's callbacks
 		// run, overlapping the next cold materialization with consumption —
-		// but only when the scan will actually get there.
-		if next != 0 && !ended {
+		// but only when the scan will actually get there, and only if the
+		// early launch above did not already cover it (a split during the
+		// load may have given the leaf a new right sibling).
+		if !ended && next != readahead {
+			readahead = next
 			t.launchPrefetch(next)
 		}
 
@@ -831,6 +846,13 @@ func (t *Tree) ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value 
 		ne.mu.Lock()
 		e = ne
 	}
+}
+
+// scanPassesHi reports whether a scan bounded above by to (nil: unbounded)
+// can need keys of e's right sibling: e has one and to lies beyond e's
+// high fence. e.mu must be held.
+func (e *pageEntry) scanPassesHi(to []byte) bool {
+	return e.next != 0 && (to == nil || (e.hi != nil && bytes.Compare(to, e.hi) > 0))
 }
 
 // launchPrefetch starts a read-ahead goroutine for page id unless the
@@ -1130,14 +1152,18 @@ func (t *Tree) insertParent(left PageID, sep []byte, right PageID, waits *[]func
 // flushInner persists an inner node's image. Inner nodes change only
 // during splits, so they are flushed synchronously in both flush modes.
 func (t *Tree) flushInner(e *pageEntry) error {
-	loc, err := t.store.Append(storage.StreamBase, uint64(e.id), encodeInner(e.inner))
+	loc, err := t.flushAppend(storage.StreamBase, uint64(e.id), encodeInner(e.inner))
 	if err != nil {
 		return err
 	}
-	if !e.inner.loc.IsZero() {
-		t.store.Invalidate(e.inner.loc)
-	}
+	// GC relocation (Mapping.Relocate) repoints inner.loc under e.mu.
+	e.mu.Lock()
+	old := e.inner.loc
 	e.inner.loc = loc
+	e.mu.Unlock()
+	if !old.IsZero() {
+		t.store.Invalidate(old)
+	}
 	return nil
 }
 

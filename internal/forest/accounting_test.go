@@ -239,6 +239,12 @@ func TestForestRegisterMetrics(t *testing.T) {
 	if v := snap["forest.init_keys"]; v.Value != 0 {
 		t.Fatalf("forest.init_keys = %+v, want 0 after migration", v)
 	}
+	if _, _, err := f.Get(2, []byte("k0")); err != nil {
+		t.Fatal(err)
+	}
+	if v := r.Snapshot()["forest.absent_reads"]; v.Value != 1 {
+		t.Fatalf("forest.absent_reads = %+v, want 1 (owner 2 was never written)", v)
+	}
 }
 
 // Guard against regressions in the underlying tree existence plumbing used

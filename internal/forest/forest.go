@@ -9,6 +9,11 @@
 // grows past a size threshold, the owner with the most edges in it is
 // evicted into a dedicated tree to keep INIT queries efficient.
 //
+// The owner directory doubles as an existence filter: a forest built by New
+// registers every owner before its first key is written and never drops an
+// entry, so an owner missing from the directory holds no key at any
+// horizon, and reads of it touch no tree at all.
+//
 // Locking: the forest-wide mutex guards only the owner and tree
 // directories (brief map accesses). Write-vs-migration exclusion is
 // per-owner, so a migration blocks only its own owner's writers — and the
@@ -72,6 +77,13 @@ type Forest struct {
 	owners map[OwnerID]*ownerState
 	trees  map[bwtree.TreeID]*bwtree.Tree
 
+	// exact reports that owners lists every owner that holds a key
+	// (ownerStateFor runs before an owner's first write; entries are never
+	// deleted), so reads of an owner with no entry are answered from the
+	// directory and counted in absentReads. Rebuild leaves it false.
+	exact       bool
+	absentReads atomic.Int64
+
 	// migrateMu serializes migrations (rare, heavyweight).
 	migrateMu sync.Mutex
 
@@ -89,6 +101,7 @@ func New(m *bwtree.Mapping, store *storage.Store, cfg Config, logger bwtree.WALL
 		cfg:    cfg,
 		owners: make(map[OwnerID]*ownerState),
 		trees:  make(map[bwtree.TreeID]*bwtree.Tree),
+		exact:  true,
 	}
 	// The shared INIT tree never gets a packed edge block: it holds many
 	// owners' composite keys and churns through migrations, while blocks
@@ -108,8 +121,9 @@ func New(m *bwtree.Mapping, store *storage.Store, cfg Config, logger bwtree.WALL
 // BuildEdgeBlocks synchronously builds (or rebuilds) the packed edge
 // block of every dedicated tree that has blocks enabled — the operator
 // path benchmarks and bulk loads use to pack super-vertices without
-// waiting for the background triggers. It returns how many blocks were
-// installed.
+// waiting for the background triggers. A build already in flight on a
+// tree is waited for, not skipped. It returns how many trees hold a
+// block on return.
 func (f *Forest) BuildEdgeBlocks() (int, error) {
 	built := 0
 	var firstErr error
@@ -117,7 +131,7 @@ func (f *Forest) BuildEdgeBlocks() (int, error) {
 		if t == f.init {
 			return true
 		}
-		ok, err := t.TryBuildEdgeBlock()
+		ok, err := t.BuildEdgeBlock()
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -157,6 +171,17 @@ func (f *Forest) lookupOwner(owner OwnerID) *ownerState {
 	st := f.owners[owner]
 	f.mu.RUnlock()
 	return st
+}
+
+// absent reports whether a read of an owner whose directory lookup
+// returned st can be answered "no keys" without touching a tree, and
+// counts the reads it answers.
+func (f *Forest) absent(st *ownerState) bool {
+	if st != nil || !f.exact {
+		return false
+	}
+	f.absentReads.Add(1)
+	return true
 }
 
 // ownerStateFor returns (creating on demand) the owner's state.
@@ -270,7 +295,11 @@ func (f *Forest) putWith(owner OwnerID, key, value []byte, waits *[]func() error
 
 // Get returns the value of key under owner.
 func (f *Forest) Get(owner OwnerID, key []byte) ([]byte, bool, error) {
-	if st := f.lookupOwner(owner); st != nil {
+	st := f.lookupOwner(owner)
+	if f.absent(st) {
+		return nil, false, nil
+	}
+	if st != nil {
 		if tree := st.tree.Load(); tree != nil {
 			return tree.Get(key)
 		}
@@ -315,7 +344,11 @@ func (f *Forest) deleteWith(owner OwnerID, key []byte, waits *[]func() error) er
 // Scan iterates owner's keys in [from, to) in order. from/to are in the
 // owner's (shortened) key space; nil means unbounded.
 func (f *Forest) Scan(owner OwnerID, from, to []byte, limit int, fn func(key, value []byte) bool) error {
-	if st := f.lookupOwner(owner); st != nil {
+	st := f.lookupOwner(owner)
+	if f.absent(st) {
+		return nil
+	}
+	if st != nil {
 		if tree := st.tree.Load(); tree != nil {
 			return tree.Scan(from, to, limit, fn)
 		}
@@ -417,6 +450,7 @@ type Stats struct {
 	Owners      int   // owners seen
 	InitKeys    int   // keys resident in the INIT tree
 	Migrations  int   // owners moved to dedicated trees
+	AbsentReads int64 // reads answered "no keys" from the owner directory
 	MemoryBytes int64 // resident memory estimate (mapping table + caches)
 }
 
@@ -424,10 +458,11 @@ type Stats struct {
 func (f *Forest) Stats() Stats {
 	f.mu.RLock()
 	s := Stats{
-		Trees:      len(f.trees),
-		Owners:     len(f.owners),
-		InitKeys:   int(f.initKeys.Load()),
-		Migrations: int(f.migrations.Load()),
+		Trees:       len(f.trees),
+		Owners:      len(f.owners),
+		InitKeys:    int(f.initKeys.Load()),
+		Migrations:  int(f.migrations.Load()),
+		AbsentReads: f.absentReads.Load(),
 	}
 	f.mu.RUnlock()
 	s.MemoryBytes = f.m.MemoryUsage()
@@ -457,6 +492,7 @@ func (f *Forest) RegisterMetrics(r *metrics.Registry) {
 	})
 	r.GaugeFunc("forest.init_keys", f.initKeys.Load)
 	r.CounterFunc("forest.migrations", f.migrations.Load)
+	r.CounterFunc("forest.absent_reads", f.absentReads.Load)
 }
 
 // Trees calls fn for every tree in the forest (INIT included) until fn
@@ -534,7 +570,10 @@ func (f *Forest) Dedicate(owner OwnerID) error {
 // Rebuild reconstructs a forest from recovered trees: init is the INIT
 // tree, dedicated maps each owner to its recovered tree. Owner counts are
 // approximate after recovery (they re-accumulate from zero), which only
-// affects future threshold decisions, not correctness.
+// affects future threshold decisions, not correctness. The recovered
+// directory lists only dedicated owners — INIT-resident owners are not
+// known until they are written again — so it is marked inexact and reads
+// of owners missing from it still search the INIT tree.
 func Rebuild(m *bwtree.Mapping, store *storage.Store, cfg Config, init *bwtree.Tree, dedicated map[OwnerID]*bwtree.Tree) *Forest {
 	f := &Forest{
 		store:  store,

@@ -37,7 +37,11 @@ const horizonAll = wal.LSN(math.MaxUint64)
 
 // GetAt returns the value of key under owner as of horizon h.
 func (f *Forest) GetAt(owner OwnerID, key []byte, h wal.LSN) ([]byte, bool, error) {
-	if st := f.lookupOwner(owner); st != nil {
+	st := f.lookupOwner(owner)
+	if f.absent(st) {
+		return nil, false, nil
+	}
+	if st != nil {
 		if tree := st.tree.Load(); tree != nil {
 			v, ok, err := tree.GetAt(key, h)
 			if err != nil || ok || h == horizonAll {
@@ -53,6 +57,10 @@ func (f *Forest) GetAt(owner OwnerID, key []byte, h wal.LSN) ([]byte, bool, erro
 // ScanAt iterates owner's keys in [from, to) as of horizon h, in order.
 // from/to are in the owner's (shortened) key space; nil means unbounded.
 func (f *Forest) ScanAt(owner OwnerID, from, to []byte, limit int, h wal.LSN, fn func(key, value []byte) bool) error {
+	st := f.lookupOwner(owner)
+	if f.absent(st) {
+		return nil
+	}
 	lo := compositeKey(owner, from)
 	var hi []byte
 	if to != nil {
@@ -64,7 +72,7 @@ func (f *Forest) ScanAt(owner OwnerID, from, to []byte, limit int, h wal.LSN, fn
 	var tree interface {
 		ScanAt(from, to []byte, limit int, h wal.LSN, fn func(key, value []byte) bool) error
 	}
-	if st := f.lookupOwner(owner); st != nil {
+	if st != nil {
 		if t := st.tree.Load(); t != nil {
 			tree = t
 		}
@@ -145,7 +153,8 @@ func (f *Forest) ScanAt(owner OwnerID, from, to []byte, limit int, h wal.LSN, fn
 // batched frontier read behind scatter-gather traversal. limit applies
 // per owner (perVertexLimit pushdown into each owner's scan); fn
 // returning false stops the whole multi-scan. Owner latching, dedicated
-// tree lookup, and INIT-residue merging are exactly ScanAt's, per owner.
+// tree lookup, INIT-residue merging and the absent-owner skip are exactly
+// ScanAt's, per owner.
 func (f *Forest) ScanManyAt(owners []OwnerID, from, to []byte, limit int, h wal.LSN, fn func(owner OwnerID, key, value []byte) bool) error {
 	stopped := false
 	for _, owner := range owners {
